@@ -35,7 +35,8 @@ from ..formal.bmc import TransitionSystem
 from ..hdl import expr as E
 from ..hdl.bitvec import mask
 from ..hdl.serialize import exprs_from_json, exprs_to_json
-from ..hdl.sim import Evaluator, Simulator
+from ..hdl.compile import CompiledSimulator
+from ..hdl.sim import Evaluator
 from ..proofs.obligations import Obligation, ObligationKind
 from .domain import ABSINT_VERSION
 from .fixpoint import FixpointResult, shared_fixpoint
@@ -290,7 +291,7 @@ def _trace_filter(
             if not (value.width == 1 and value.is_const() and value.lo == 1):
                 simulated[name] = prop
     if simulated:
-        sim = Simulator(module)
+        sim = CompiledSimulator(module)
         zero = {name: 0 for name in module.inputs}
         for cycle in range(cycles):
             if not simulated:

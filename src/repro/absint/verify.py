@@ -34,7 +34,7 @@ from ..formal.aig import fresh_vec
 from ..formal.bmc import IncrementalUnroller, TransitionSystem
 from ..hdl import expr as E
 from ..hdl.netlist import Module
-from ..hdl.sim import Evaluator, Simulator
+from ..hdl.sim import Evaluator
 
 
 @dataclass
@@ -68,8 +68,7 @@ def verify_candidates(
 
     # base: exact evaluation in the concrete reset state
     if alive:
-        sim = Simulator(module)
-        evaluator = Evaluator(sim.state, {})
+        evaluator = Evaluator(module.initial_state(), {})
         for name in list(alive):
             if evaluator.eval(alive[name]) != 1:
                 outcome.rejected[name] = "fails in the reset state"

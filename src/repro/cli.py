@@ -24,7 +24,7 @@ import sys
 
 from .core import TransformOptions, check_data_consistency, transform
 from .dlx import DlxConfig, DlxReference, assemble, build_dlx_machine, labels_of
-from .hdl.sim import Simulator
+from .hdl.compile import CompiledSimulator
 from .machine import build_sequential
 from .perf import cost_versus_depth, format_table, run_to_completion
 from .proofs import discharge, generate_obligations
@@ -90,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         cycles = args.cycles or 1000
 
-    sim = Simulator(module)
+    sim = CompiledSimulator(module)
     for _ in range(cycles):
         sim.step()
     print("\nGPR:")

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from ..hdl.compile import CompiledSimulator
 from ..hdl.netlist import Module
-from ..hdl.sim import Simulator, Trace
+from ..hdl.sim import Trace
 from ..machine.prepared import PreparedMachine
 from ..machine.sequential import build_sequential
 from .scheduling import compute_schedule
@@ -57,6 +58,22 @@ class SpecState:
     memories: dict[str, dict[int, int]]
 
 
+def _visible_state(sim: CompiledSimulator, machine: PreparedMachine) -> SpecState:
+    """The visible registers and register files of ``machine`` as they
+    stand in ``sim`` (either elaboration: both share the instance names)."""
+    memories = sim.state.memories
+    return SpecState(
+        registers={
+            reg.name: sim.reg(reg.instance_name(reg.last))
+            for reg in machine.visible_registers()
+        },
+        memories={
+            regfile.name: dict(memories[regfile.name])
+            for regfile in machine.visible_regfiles()
+        },
+    )
+
+
 class SpecStateCache:
     """Lazily extended sequential-reference snapshots.
 
@@ -64,8 +81,7 @@ class SpecStateCache:
     rewrite the *pipelined* elaboration only), so one cache serves every
     consistency check of a campaign: the reference simulation is kept
     alive and extended on demand instead of being re-run per mutant.
-    ``prefix(i)`` returns the same snapshots :func:`collect_spec_states`
-    would, by construction — it is the same simulation, just persistent.
+    :func:`collect_spec_states` is one ``prefix`` call on a fresh cache.
     """
 
     def __init__(
@@ -73,30 +89,22 @@ class SpecStateCache:
     ) -> None:
         self._machine = machine
         self._inputs = inputs
-        self._sim: Simulator | None = None
+        self._sim: CompiledSimulator | None = None
         self._states: list[SpecState] = []
         self._cycles = 0
 
-    def _snapshot(self) -> SpecState:
-        sim = self._sim
-        assert sim is not None
-        registers = {
-            reg.name: sim.reg(reg.instance_name(reg.last))
-            for reg in self._machine.visible_registers()
-        }
-        memories = {
-            regfile.name: dict(sim.state.memories[regfile.name])
-            for regfile in self._machine.visible_regfiles()
-        }
-        return SpecState(registers=registers, memories=memories)
-
-    def prefix(self, instructions: int) -> list[SpecState]:
+    def prefix(
+        self, instructions: int, max_cycles: int | None = None
+    ) -> list[SpecState]:
         """Snapshots before instructions ``0..instructions`` (inclusive);
-        the returned list may be longer than requested."""
+        the returned list may be longer than requested.  The reference
+        runs at most ``max_cycles`` cycles in total (default: four per
+        stage and instruction)."""
         if self._sim is None:
-            self._sim = Simulator(build_sequential(self._machine))
-            self._states.append(self._snapshot())
-        max_cycles = (instructions + 1) * self._machine.n_stages * 4
+            self._sim = CompiledSimulator(build_sequential(self._machine))
+            self._states.append(_visible_state(self._sim, self._machine))
+        if max_cycles is None:
+            max_cycles = (instructions + 1) * self._machine.n_stages * 4
         while len(self._states) <= instructions and self._cycles < max_cycles:
             stimulus = (
                 self._inputs(self._sim.cycle) if self._inputs is not None else {}
@@ -104,7 +112,7 @@ class SpecStateCache:
             values = self._sim.step(stimulus)
             self._cycles += 1
             if values["seq.instr_done"]:
-                self._states.append(self._snapshot())
+                self._states.append(_visible_state(self._sim, self._machine))
         if len(self._states) <= instructions:
             raise RuntimeError(
                 f"sequential reference retired only {len(self._states) - 1}"
@@ -125,36 +133,7 @@ def collect_spec_states(
 
     ``R_S^i`` of the paper is ``result[i]``.
     """
-    module = build_sequential(machine)
-    sim = Simulator(module)
-    n = machine.n_stages
-    max_cycles = max_cycles if max_cycles is not None else (instructions + 1) * n * 4
-
-    def snapshot() -> SpecState:
-        registers = {
-            reg.name: sim.reg(reg.instance_name(reg.last))
-            for reg in machine.visible_registers()
-        }
-        memories = {
-            regfile.name: dict(sim.state.memories[regfile.name])
-            for regfile in machine.visible_regfiles()
-        }
-        return SpecState(registers=registers, memories=memories)
-
-    states = [snapshot()]
-    cycles = 0
-    while len(states) <= instructions and cycles < max_cycles:
-        stimulus = inputs(sim.cycle) if inputs is not None else {}
-        values = sim.step(stimulus)
-        cycles += 1
-        if values["seq.instr_done"]:
-            states.append(snapshot())
-    if len(states) <= instructions:
-        raise RuntimeError(
-            f"sequential reference retired only {len(states) - 1} instructions"
-            f" in {cycles} cycles (wanted {instructions})"
-        )
-    return states
+    return SpecStateCache(machine, inputs).prefix(instructions, max_cycles)
 
 
 def check_data_consistency(
@@ -193,27 +172,13 @@ def check_data_consistency(
             raise ValueError(
                 "need either pipelined_module or precomputed trace+impl_states"
             )
-        sim = Simulator(pipelined_module)
-
+        sim = CompiledSimulator(pipelined_module)
         # Visible-state snapshots of the *implementation*, one per cycle.
-        impl_states = []
-
-        def impl_snapshot() -> SpecState:
-            registers = {
-                reg.name: sim.reg(reg.instance_name(reg.last))
-                for reg in machine.visible_registers()
-            }
-            memories = {
-                regfile.name: dict(sim.state.memories[regfile.name])
-                for regfile in machine.visible_regfiles()
-            }
-            return SpecState(registers=registers, memories=memories)
-
-        impl_states.append(impl_snapshot())
+        impl_states = [_visible_state(sim, machine)]
         for _ in range(cycles):
             stimulus = inputs(sim.cycle) if inputs is not None else {}
             sim.step(stimulus)
-            impl_states.append(impl_snapshot())
+            impl_states.append(_visible_state(sim, machine))
         trace = sim.trace
 
     schedule = compute_schedule(trace, n)
@@ -302,7 +267,7 @@ def seq_commit_side(
     result is mutant-independent, so campaigns compute it once per core
     and pass it to :func:`compare_commit_streams` as ``seq_side``."""
     seq_module = build_sequential(machine)
-    seq_sim = Simulator(seq_module)
+    seq_sim = CompiledSimulator(seq_module)
     retired = 0
     for _ in range(seq_cycles):
         stimulus = seq_inputs(seq_sim.cycle) if seq_inputs is not None else {}
@@ -344,7 +309,7 @@ def compare_commit_streams(
             raise ValueError(
                 "need either pipelined_module or a precomputed pipe_trace"
             )
-        pipe_sim = Simulator(pipelined_module)
+        pipe_sim = CompiledSimulator(pipelined_module)
         for _ in range(cycles):
             stimulus = inputs(pipe_sim.cycle) if inputs is not None else {}
             pipe_sim.step(stimulus)

@@ -4,8 +4,11 @@ The interpreting :class:`repro.hdl.sim.Simulator` walks the expression DAG
 every cycle; for long benchmark runs that dominates.  This module compiles
 a module once into straight-line Python (one assignment per unique DAG
 node, constants folded into literals, masks precomputed) and executes the
-compiled function per cycle — typically 10-30x faster, with *identical*
-semantics (property-tested against the interpreter).
+compiled function per cycle, with *identical* semantics (property-tested
+against the interpreter).  Measured on one Xeon core: a dlx-small
+pipelined step takes 15 us compiled against 805 us interpreted, its
+sequential elaboration 11 us against 235 us, and the compile about 4 ms.
+Every proof-path simulation runs on this class.
 
 Usage::
 

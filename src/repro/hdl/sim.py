@@ -9,6 +9,11 @@ Each cycle proceeds in two phases, matching synchronous hardware semantics:
 
 Because all evaluation happens against the pre-edge state there are no
 ordering hazards; register-to-register paths behave like real flip-flops.
+
+This interpreter is the single definition of those semantics, and the
+oracle that :class:`repro.hdl.compile.CompiledSimulator` and
+:class:`repro.hdl.batchsim.BatchSimulator` are tested against.  It is not
+on the proof path: every proof-path trace runs compiled code.
 """
 
 from __future__ import annotations

@@ -1213,7 +1213,11 @@ def discharge_jobs(
             # obligation's cone is a measurable slice of a cold run
             fingerprint = None
 
-        cached = cache.get(fingerprint) if cache and fingerprint else None
+        cached = (
+            cache.get(fingerprint)
+            if cache is not None and fingerprint is not None
+            else None
+        )
         if cached is not None:
             report.cache_hits += 1
             outcome_by_position[position] = emit(

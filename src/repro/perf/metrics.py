@@ -13,7 +13,6 @@ from typing import Callable, Mapping
 
 from ..hdl.compile import CompiledSimulator
 from ..hdl.netlist import Module
-from ..hdl.sim import Simulator
 
 InputProvider = Callable[[int], Mapping[str, int]]
 
@@ -59,20 +58,17 @@ def run_to_completion(
     name: str = "",
     max_cycles: int | None = None,
     inputs: InputProvider | None = None,
-    compiled: bool = True,
 ) -> PerfReport:
     """Run ``module`` until ``target_instructions`` have retired (counted
     by ``ue`` of the last stage), collecting performance counters.
 
     Works for the sequential elaboration (``ue.{n-1}`` fires once per
     instruction), the pipelined one, and speculative machines (squashed
-    instructions never fire the final ``ue``).  ``compiled`` selects the
-    code-generating simulator (identical semantics, much faster); pass
-    False to measure on the interpreting reference simulator.
+    instructions never fire the final ``ue``).
     """
     if max_cycles is None:
         max_cycles = max(64, target_instructions * n_stages * 6)
-    sim = CompiledSimulator(module) if compiled else Simulator(module)
+    sim = CompiledSimulator(module)
     last_ue = f"ue.{n_stages - 1}"
     has_stall = "stall.0" in module.probes
     stall_probes = [f"stall.{k}" for k in range(n_stages) if has_stall]

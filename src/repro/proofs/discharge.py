@@ -38,7 +38,8 @@ from ..formal.bmc import (
     bmc_bdd,
     k_induction,
 )
-from ..hdl.sim import Simulator, Trace
+from ..hdl.compile import CompiledSimulator
+from ..hdl.sim import Trace
 from .instrument import instrument_scheduling
 from .obligations import Obligation, ObligationKind, ObligationSet
 
@@ -122,7 +123,7 @@ def build_trace(
     inputs: InputProvider | None = None,
 ) -> Trace:
     """The shared stimulus run all trace obligations of a machine check."""
-    sim = Simulator(pipelined.module)
+    sim = CompiledSimulator(pipelined.module)
     for _ in range(trace_cycles):
         stimulus = inputs(sim.cycle) if inputs is not None else {}
         sim.step(stimulus)

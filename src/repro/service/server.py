@@ -525,7 +525,9 @@ class DischargeService:
                 }
                 for name, t in sorted(self.tenants.items())
             },
-            "cache": self.cache.snapshot_stats() if self.cache else None,
+            "cache": (
+                self.cache.snapshot_stats() if self.cache is not None else None
+            ),
             "journal_appended": self.journal.appended,
             **asdict(self.stats),
         }

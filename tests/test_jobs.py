@@ -129,6 +129,22 @@ class TestEngine:
             o.oid for o in toy_obligations
         )
 
+    def test_cold_run_looks_up_without_scanning(
+        self, toy_pipelined, toy_obligations, tmp_path, monkeypatch
+    ):
+        """The engine tests the cache against None, never by truthiness:
+        ``len(cache)`` globs the whole store, and an empty store is falsy,
+        which used to skip every lookup of a cold run."""
+        scans = []
+        monkeypatch.setattr(
+            ResultCache, "__len__", lambda self: scans.append(self) or 0
+        )
+        cache = ResultCache(tmp_path)
+        report = discharge_jobs(toy_pipelined, toy_obligations, cache=cache, jobs=1)
+        assert report.ok and report.cache_misses > 0
+        assert scans == []
+        assert cache.stats.misses == report.cache_misses
+
     def test_matches_sequential_driver(self, toy_pipelined, toy_obligations):
         sequential = discharge(toy_pipelined, toy_obligations, conjoin=False)
         parallel = discharge_jobs(toy_pipelined, toy_obligations, jobs=2)

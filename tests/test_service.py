@@ -214,6 +214,15 @@ def test_discharge_stream_matches_clean_run(tmp_path, toy_baseline):
         assert stats["solves"] == 1 and stats["replayed"] == 1
 
 
+def test_fresh_server_reports_cache_stats(tmp_path):
+    """An empty cache is still a cache: /v1/stats carries its counters
+    before the first verdict is stored."""
+    with ServerThread(_config(tmp_path)) as server:
+        cache = ServiceClient(*server.address).stats()["cache"]
+    assert cache is not None
+    assert cache["hits"] == cache["misses"] == cache["stores"] == 0
+
+
 def test_http_surface(tmp_path):
     with ServerThread(_config(tmp_path)) as server:
         client = ServiceClient(*server.address)
