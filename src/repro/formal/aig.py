@@ -469,6 +469,17 @@ class BitBlaster:
     cone-of-influence slicing — sparse memories may only be read at constant
     addresses that are actually materialised (anything else is a slicing
     bug and raises :class:`BlastError`).
+
+    The memo lives as long as the blaster: a node is lowered at most once,
+    and a later :meth:`blast` walks only the nodes it has not seen, so one
+    blaster per environment (an unrolled frame, say) can serve any number
+    of expressions.  The memo is keyed by node identity and holds a strong
+    reference to every node it keys, so an id cannot be reused by a new
+    node while its entry is live (:func:`repro.hdl.expr.scoped_intern` can
+    drop interned nodes).  The environment is read once, at construction:
+    later changes to the mappings passed in are not seen.  Returned
+    vectors are the memo's own and are shared between calls: callers must
+    treat them as read-only (copy before changing one).
     """
 
     def __init__(
@@ -490,13 +501,45 @@ class BitBlaster:
             else:
                 self.mem_words[name] = {a: list(w) for a, w in enumerate(words)}
         self._memo: dict[int, Vec] = {}
+        self._nodes: list[E.Expr] = []  # keeps every memoised id alive
 
     def blast(self, root: E.Expr) -> Vec:
+        """The literal vector of ``root``; read-only, see the class doc.
+
+        Lowers the nodes under ``root`` that are not memoised yet, children
+        first, in the order :func:`repro.hdl.expr.walk` visits them.  The
+        walk stops at memoised nodes: a node blasted earlier has its whole
+        subtree memoised, and a :meth:`preset` node needs none of it.
+        """
         memo = self._memo
-        for node in E.walk([root]):
-            if id(node) not in memo:
+        vec = memo.get(id(root))
+        if vec is not None:
+            return vec
+        nodes = self._nodes
+        seen: set[int] = set()
+        stack: list[tuple[E.Expr, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
                 memo[id(node)] = self._blast_node(node)
+                nodes.append(node)
+                continue
+            key = id(node)
+            if key in seen or key in memo:
+                continue
+            seen.add(key)
+            stack.append((node, True))
+            for child in node.children():
+                key = id(child)
+                if key not in seen and key not in memo:
+                    stack.append((child, False))
         return memo[id(root)]
+
+    def preset(self, node: E.Expr, vec: Vec) -> None:
+        """Fix the vector of a node not blasted yet: :meth:`blast` then
+        uses ``vec`` for it and does not lower its subtree."""
+        self._memo[id(node)] = vec
+        self._nodes.append(node)
 
     def blast_bit(self, root: E.Expr) -> int:
         if root.width != 1:

@@ -59,6 +59,23 @@ from .sat import SatResult, Solver
 ENGINE_VERSION = 4
 
 
+def _direct_reads(roots: Sequence[E.Expr]) -> tuple[frozenset[str], frozenset[str]]:
+    """What ``roots`` read of the state in one step: the names of the
+    registers and of the memory words read at a constant address, and the
+    memories read at a symbolic address (all of whose words are read)."""
+    names: set[str] = set()
+    mems: set[str] = set()
+    for node in E.walk(roots):
+        if isinstance(node, E.RegRead):
+            names.add(node.name)
+        elif isinstance(node, E.MemRead):
+            if isinstance(node.addr, E.Const):
+                names.add(f"{node.mem}[{node.addr.value}]")
+            else:
+                mems.add(node.mem)
+    return frozenset(names), frozenset(mems)
+
+
 @dataclass(frozen=True)
 class StateVar:
     """One element of the transition system's state vector."""
@@ -92,6 +109,8 @@ class TransitionSystem:
         # even when the initial frame is otherwise unconstrained.
         self.constant_mems: set[str] = set()
         self._by_name = {var.name: var for var in state}
+        # state name -> its next-state function's direct reads (_reads_of)
+        self._reads: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
 
     def var(self, name: str) -> StateVar:
         return self._by_name[name]
@@ -104,30 +123,43 @@ class TransitionSystem:
         address only pulls in that word, so properties over individual
         memory locations do not drag the whole memory into every frame.  A
         symbolic (non-constant) read still needs the full memory.
+
+        Only ``roots`` is walked per call.  Each state variable's one-step
+        reads are walked once per system and cached (:meth:`_reads_of`), so
+        a cone is a closure over names.  A symbolic read is cached as the
+        memory, not as its words, and expanded to the words at most once
+        per call.
         """
+        names, mems = _direct_reads(roots)
         needed: set[str] = set()
-        full_mems: set[str] = set()
-        frontier: list[E.Expr] = list(roots)
-        while frontier:
-            exprs = frontier
-            frontier = []
-            names: set[str] = set()
-            for node in E.walk(exprs):
-                if isinstance(node, E.RegRead):
-                    names.add(node.name)
-                elif isinstance(node, E.MemRead):
-                    if isinstance(node.addr, E.Const):
-                        names.add(f"{node.mem}[{node.addr.value}]")
-                    elif node.mem not in full_mems:
-                        full_mems.add(node.mem)
-                        addr_width, _dw = self.mem_shapes[node.mem]
-                        names.update(
-                            f"{node.mem}[{a}]" for a in range(1 << addr_width)
-                        )
-            for name in names - needed:
-                needed.add(name)
-                frontier.append(self._by_name[name].next)
+        expanded: set[str] = set()
+        pending = list(names)
+
+        def expand(mems: frozenset[str]) -> None:
+            for mem in mems - expanded:
+                expanded.add(mem)
+                addr_width, _dw = self.mem_shapes[mem]
+                pending.extend(f"{mem}[{a}]" for a in range(1 << addr_width))
+
+        expand(mems)
+        while pending:
+            name = pending.pop()
+            if name in needed:
+                continue
+            needed.add(name)
+            names, mems = self._reads_of(name)
+            pending.extend(names)
+            if mems:
+                expand(mems)
         return needed
+
+    def _reads_of(self, name: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The direct reads of one state variable's next-state function, as
+        :func:`_direct_reads` gives them; walked on first use, then cached."""
+        reads = self._reads.get(name)
+        if reads is None:
+            reads = self._reads[name] = _direct_reads([self._by_name[name].next])
+        return reads
 
     @classmethod
     def from_module(cls, module: Module) -> "TransitionSystem":
@@ -180,11 +212,19 @@ class Frame:
 
     ``mems`` maps memory name -> {address: vector}; cone-of-influence
     slicing can leave it sparse (only the addressed words materialised).
+
+    ``blaster`` is the frame's one :class:`BitBlaster`, built by
+    :meth:`Unroller._blaster` on first use and kept for the frame's
+    lifetime, so every expression evaluated in the frame (the next-state
+    functions, properties, assumptions) lowers each shared node once.  The
+    vectors above must not change once it exists: it reads them at
+    construction.
     """
 
     regs: dict[str, Vec]
     mems: dict[str, dict[int, Vec]]
     inputs: dict[str, Vec]
+    blaster: BitBlaster | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -229,6 +269,14 @@ class Unroller:
     the listed state variables are materialised per frame (the set must be
     closed under next-state dependencies, as produced by
     :meth:`TransitionSystem.cone_of_influence`).
+
+    Each frame is bit-blasted through one memoised :class:`BitBlaster`
+    (:attr:`Frame.blaster`), shared by :meth:`add_step` and every
+    :meth:`blast_in_frame` of that frame: a node of the expression DAG is
+    lowered at most once per frame.  Since AND nodes are structurally
+    hashed, the AIG is the one a fresh blaster per expression would build,
+    node for node.  The vectors :meth:`blast_in_frame` returns are shared
+    with that memo and are read-only.
     """
 
     def __init__(
@@ -287,9 +335,14 @@ class Unroller:
         }
 
     def _blaster(self, frame: Frame) -> BitBlaster:
-        return BitBlaster(
-            self.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
-        )
+        """The frame's blaster, built on first use.  The first use comes
+        after :meth:`IncrementalUnroller.add_step` has swept the frame's
+        vectors, so the blaster reads their final values."""
+        if frame.blaster is None:
+            frame.blaster = BitBlaster(
+                self.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
+            )
+        return frame.blaster
 
     def add_step(self) -> Frame:
         """Compute frame t+1 from the last frame."""

@@ -109,15 +109,16 @@ def check_noninterference(
 
     # absint sharpening, mirrored: any reachably-constant interior node
     # is the same constant in both copies
-    const_nodes = {
-        id(node): const_vec(node.width, fixpoint.eval(node).lo)
+    const_nodes = [
+        (node, const_vec(node.width, fixpoint.eval(node).lo))
         for node in cone
         if not isinstance(node, (E.Const, E.RegRead, E.Input))
         and fixpoint.eval(node).is_const()
-    }
+    ]
 
     blaster_a = BitBlaster(aig, regs=regs_a, inputs=inputs, mem_words=mem_words)
-    blaster_a._memo.update(const_nodes)
+    for node, vec in const_nodes:
+        blaster_a.preset(node, vec)
     vec_a = blaster_a.blast(sink)
     cut_vecs = [blaster_a.blast(cut) for cut in declassifiers]
 
@@ -130,9 +131,10 @@ def check_noninterference(
         regs_b[name] = fresh_vec(aig, len(vec))
         freed.append(name)
     blaster_b = BitBlaster(aig, regs=regs_b, inputs=inputs, mem_words=mem_words)
-    blaster_b._memo.update(const_nodes)
+    for node, vec in const_nodes:
+        blaster_b.preset(node, vec)
     for cut, vec in zip(declassifiers, cut_vecs):
-        blaster_b._memo[id(cut)] = vec
+        blaster_b.preset(cut, vec)
     vec_b = blaster_b.blast(sink)
 
     diff = aig.or_many([aig.xor_(x, y) for x, y in zip(vec_a, vec_b)])

@@ -371,10 +371,26 @@ def discharge_invariant_ladder(
     The ``method`` of the returned record therefore always identifies the
     rung that produced the verdict — a campaign report can show exactly how
     each obligation was decided even under engine failures.
+
+    ``interrupt`` is polled by the CDCL rungs, and once more after each of
+    them gives no verdict: when it fires, the ladder stops there with
+    ``UNKNOWN`` and method ``interrupted``.  The BDD rung cannot be
+    interrupted, and a verdict it reached after a cut-short CDCL rung
+    would depend on machine load, not on the obligation.
     """
     assert obligation.kind is ObligationKind.INVARIANT and obligation.prop is not None
     start = time.perf_counter()
     notes: list[str] = []
+
+    def interrupted() -> DischargeRecord:
+        return DischargeRecord(
+            oid=obligation.oid,
+            title=obligation.title,
+            status=Status.UNKNOWN,
+            method="interrupted",
+            detail="; ".join(notes),
+            seconds=time.perf_counter() - start,
+        )
 
     try:
         record = discharge_invariant(
@@ -392,6 +408,8 @@ def discharge_invariant_ladder(
         notes.append(f"incremental: {record.method}")
     except Exception as exc:  # a crashed rung degrades, never aborts
         notes.append(f"incremental: raised {type(exc).__name__}: {exc}")
+    if interrupt is not None and interrupt():
+        return interrupted()
 
     try:
         record = discharge_invariant(
@@ -413,6 +431,8 @@ def discharge_invariant_ladder(
         notes.append(f"scratch: {record.method}")
     except Exception as exc:
         notes.append(f"scratch: raised {type(exc).__name__}: {exc}")
+    if interrupt is not None and interrupt():
+        return interrupted()
 
     bound = bdd_bound if bdd_bound is not None else bmc_bound
     frames = 0
@@ -491,7 +511,8 @@ def discharge_invariant_group(
     member the shared engine leaves UNKNOWN (and that has budget left)
     falls back to the full per-obligation degradation ladder
     (:func:`discharge_invariant_ladder`) — grouped scheduling never takes
-    a rung away.
+    a rung away.  The deadline is checked again after the ladder: a
+    ladder verdict that lands past it is a timeout too.
     """
     from ..formal.shared import SharedContext, SharedMember
 
@@ -563,11 +584,28 @@ def discharge_invariant_group(
             if ladder:
                 record = None  # decided by the full ladder below
 
-        timed_out = deadline is not None and time.perf_counter() >= deadline
-        if timed_out:
+        def past_deadline() -> bool:
+            return deadline is not None and time.perf_counter() >= deadline
+
+        if ladder and not past_deadline() and (
+            record is None or record.status is Status.UNKNOWN
+        ):
+            # the remaining rungs run per-obligation, exactly as the
+            # classic scheduling mode would have run them
+            record = discharge_invariant_ladder(
+                system,
+                obligation,
+                max_k=max_k,
+                bmc_bound=bmc_bound,
+                max_conflicts=max_conflicts,
+                sweep_frames=sweep_frames,
+                interrupt=context.interrupt,
+            )
+        if past_deadline():
             # Strict wall budget, matching the worker pool's hard deadline:
-            # past it, even a verdict the solver reached late is discarded
-            # (the classic scheduler would have killed the worker first).
+            # past it, even a verdict the solver or the ladder reached late
+            # is discarded (the classic scheduler would have killed the
+            # worker first).
             record = DischargeRecord(
                 oid=obligation.oid,
                 title=obligation.title,
@@ -579,19 +617,6 @@ def discharge_invariant_group(
                 conflicts=context.conflicts[index],
                 frames=context.frames,
             )
-        elif record is None or record.status is Status.UNKNOWN:
-            if ladder:
-                # the remaining rungs run per-obligation, exactly as the
-                # classic scheduling mode would have run them
-                record = discharge_invariant_ladder(
-                    system,
-                    obligation,
-                    max_k=max_k,
-                    bmc_bound=bmc_bound,
-                    max_conflicts=max_conflicts,
-                    sweep_frames=sweep_frames,
-                    interrupt=context.interrupt,
-                )
         yield index, record
 
 

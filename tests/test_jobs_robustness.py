@@ -37,6 +37,7 @@ import repro.jobs.engine as engine_mod
 discharge_mod = importlib.import_module("repro.proofs.discharge")
 from repro.formal.bmc import TransitionSystem, bmc, bmc_bdd
 from repro.hdl import expr as E
+from repro.hdl.netlist import Module
 from repro.jobs import CACHE_VERSION, EngineParams, ResultCache, discharge_jobs
 from repro.jobs.cache import _entry_checksum
 from repro.proofs import (
@@ -46,6 +47,7 @@ from repro.proofs import (
     generate_obligations,
     resolve_properties,
 )
+from repro.proofs.obligations import Obligation, ObligationKind
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="worker-pool tests need fork"
@@ -340,6 +342,49 @@ def test_ladder_exhaustion_records_every_rung(
     assert record.status is Status.UNKNOWN
     assert record.method == "ladder-exhausted"
     assert "bdd(node-limit)" in record.detail
+
+
+def _mul_commutes(width: int = 3):
+    """One invariant CDCL cannot settle within a conflict or two but a
+    BDD decides at once: multiplication commutes (over free inputs)."""
+    module = Module("mul_commutes")
+    a = module.add_register("a", width, next=module.add_input("a_in", width))
+    b = module.add_register("b", width, next=module.add_input("b_in", width))
+    obligation = Obligation(
+        oid="mul.commutes",
+        title="a*b == b*a",
+        kind=ObligationKind.INVARIANT,
+        prop=E.eq(E.mul(a, b), E.mul(b, a)),
+    )
+    return TransitionSystem.from_module(module), obligation
+
+
+def test_interrupted_ladder_skips_remaining_rungs(tmp_path):
+    """An interrupt that fired during rungs 1-2 ends the ladder: the BDD
+    rung ignores ``interrupt``, so running it would turn a budget-cut
+    obligation into a cacheable BOUNDED that an idle machine might have
+    PROVED."""
+    system, obligation = _mul_commutes()
+    record = discharge_invariant_ladder(
+        system, obligation, max_conflicts=1, bmc_bound=2,
+        interrupt=lambda: True,
+    )
+    assert record.status is Status.UNKNOWN
+    assert record.method == "interrupted"
+    assert "incremental: exhausted" in record.detail
+    assert ResultCache(tmp_path).put("0" * 64, record) is False
+
+
+def test_budget_exhausted_ladder_still_reaches_bdd():
+    """Without an interrupt, a conflict budget that leaves rungs 1-2
+    UNKNOWN still falls through to the BDD rung."""
+    system, obligation = _mul_commutes()
+    record = discharge_invariant_ladder(
+        system, obligation, max_conflicts=1, bmc_bound=2
+    )
+    assert record.status is Status.BOUNDED
+    assert record.method == "bdd(2)"
+    assert record.detail == "incremental: exhausted; scratch: exhausted"
 
 
 def test_ladder_method_recorded_in_job_report(

@@ -13,6 +13,7 @@ parent is inherited by every child.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import time
@@ -275,6 +276,40 @@ def test_group_timeout_discards_late_verdicts(toy_pipelined, toy_obligations):
     for index in range(len(sample)):
         assert records[index].status is Status.UNKNOWN
         assert records[index].method.startswith("timeout(")
+
+
+def test_group_discards_ladder_verdict_past_deadline(monkeypatch):
+    """The strict wall budget also covers the ladder fallback: a member
+    the shared engine leaves UNKNOWN whose ladder verdict lands after the
+    deadline is a timeout, not the late verdict."""
+    # ``repro.proofs.discharge`` the attribute is a function
+    discharge_mod = importlib.import_module("repro.proofs.discharge")
+    system, obligations = _hard_group_module()
+    late = []
+
+    def slow_ladder(system, obligation, **kwargs):
+        time.sleep(0.3)
+        late.append(obligation.oid)
+        return discharge_mod.DischargeRecord(
+            oid=obligation.oid,
+            title=obligation.title,
+            status=Status.BOUNDED,
+            method="bdd(8)",
+        )
+
+    monkeypatch.setattr(discharge_mod, "discharge_invariant_ladder", slow_ladder)
+    records = dict(
+        discharge_invariant_group(
+            system,
+            obligations[1:2],
+            max_conflicts=1,
+            ladder=True,
+            member_timeout=0.2,
+        )
+    )
+    assert late == ["hard.mul"]
+    assert records[0].status is Status.UNKNOWN
+    assert records[0].method == "timeout(0.2s)"
 
 
 # ---------------------------------------------------------------------------
