@@ -19,10 +19,22 @@ Widening (interval bounds jump to the extremes once they keep moving)
 plus the finite known-bits lattice force termination; ``max_iterations``
 is a pure backstop that blows still-changing entries to ⊤, which is
 always sound.
+
+The iteration is change-driven.  The first step values every node of
+the DAG; after that, a step re-evaluates only the ``RegRead`` and
+``MemRead`` leaves of the registers and memories whose abstract state
+moved (by join, widening or the backstop), and then, children first,
+the parents of each node whose value changed.  Every transfer is a pure
+function of its children's values and the leaf state, so a node whose
+inputs are unchanged keeps the value a full re-evaluation would give it
+again: the result — state, node values, iteration count, widening flag
+— is the one of re-evaluating the whole DAG on every step, for a
+fraction of the transfers.
 """
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass, field
 
@@ -125,18 +137,32 @@ class FixpointResult:
     module's roots, memoised on interned node ids — the cross-obligation
     CSE that lets candidate properties and sibling obligations reuse each
     other's transfer computations.
+
+    The result holds its module only weakly (:attr:`module`), so a memo
+    of results keyed weakly on the module (:func:`shared_fixpoint`) lets
+    go of both together.  The nodes behind every key of ``values`` are
+    pinned instead: expression nodes do not reference their module, and
+    a pinned id can never be recycled for another node.
     """
 
-    module: Module
+    module_ref: "weakref.ref[Module]"
     registers: dict[str, AbsValue]
     memories: dict[str, AbsValue]
     values: dict[int, AbsValue]
     iterations: int
     widened: bool
     rom_case_limit: int = 64
-    # nodes evaluated through eval(): keeps their ids (the memo keys)
-    # from being recycled by the allocator while this result is alive
+    # every node with an entry in ``values``: keeps the ids (the memo
+    # keys) from being recycled by the allocator while this result lives
     _pinned: list = field(default_factory=list, repr=False)
+
+    @property
+    def module(self) -> Module:
+        """The analysed module; raises once it has been collected."""
+        module = self.module_ref()
+        if module is None:
+            raise ReferenceError("the analysed module no longer exists")
+        return module
 
     def eval(self, expression: E.Expr) -> AbsValue:
         """Abstract value of an arbitrary expression in the stable state.
@@ -144,31 +170,34 @@ class FixpointResult:
         Transfers are memoised in ``values`` keyed on interned node ids:
         any subterm hash-consed together with a previously evaluated
         expression — another candidate invariant, a sibling obligation's
-        property — is a dictionary hit, not a recomputation.  Evaluated
-        nodes are pinned so the ids stay valid for this result's
-        lifetime.
+        property — is a dictionary hit, not a recomputation.  The walk
+        stops at memoised nodes: a memoised node's whole subtree already
+        has values, so only the nodes new to this result are visited.
         """
+        values = self.values
+        value = values.get(id(expression))
+        if value is not None:
+            return value
+        module = self.module
         rom = {
             name: not memory.write_ports
-            for name, memory in self.module.memories.items()
+            for name, memory in module.memories.items()
         }
         reg_env, mem_env = _environments(
-            self.module,
+            module,
             self.registers,
             self.memories,
             rom,
-            self.values,
+            values,
             self.rom_case_limit,
         )
-        values = self.values
-        for node in E.walk([expression]):
-            if id(node) in values:
-                continue
+
+        def lookup(n: E.Expr) -> AbsValue:
+            return values[id(n)]
+
+        for node in E.walk_new([expression], values):
             values[id(node)] = abs_transfer(
-                node,
-                lambda n: values[id(n)],
-                reg_env=reg_env,
-                mem_env=mem_env,
+                node, lookup, reg_env=reg_env, mem_env=mem_env
             )
             self._pinned.append(node)
         return values[id(expression)]
@@ -176,8 +205,8 @@ class FixpointResult:
 
 # one fixpoint per (module, analysis knobs), shared across every caller
 # holding the same module alive — sibling obligations, repeated mining
-# runs, the lint semantic pass.  Weak on the module so dropping the
-# netlist drops the analysis.
+# runs, the lint semantic pass.  Weak on the module (and the results hold
+# it weakly too) so dropping the netlist drops the analysis.
 _SHARED_FIXPOINTS: "weakref.WeakKeyDictionary[Module, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -222,7 +251,17 @@ def analyze(
     max_iterations: int = 50,
     rom_case_limit: int = 64,
 ) -> FixpointResult:
-    """Run the fixpoint interpreter; see the module docstring."""
+    """Run the fixpoint interpreter; see the module docstring.
+
+    Each iteration is one Jacobi step: the nodes are valued over the
+    abstract state of the previous step, then every register and memory
+    joins (past ``widen_after`` iterations: widens) its next value into
+    the state, in declaration order.  Only the first step values every
+    node; later steps re-evaluate the nodes downstream of what moved,
+    children first, and stop propagating at a node whose value did not
+    change.  Nothing else differs from re-evaluating the whole DAG each
+    step, so the result is the same, field for field.
+    """
     state: dict[str, AbsValue] = {
         name: AbsValue.const(reg.width, reg.init)
         for name, reg in module.registers.items()
@@ -233,28 +272,53 @@ def analyze(
         rom[name] = not memory.write_ports
         mem_summary[name] = _memory_summary(memory, include_unwritten=True)
 
-    roots = module.roots()
-    order = E.walk(roots)
+    order = E.walk(module.roots())
     values: dict[int, AbsValue] = {}
     reg_env, mem_env = _environments(
         module, state, mem_summary, rom, values, rom_case_limit
     )
 
-    def _evaluate() -> None:
-        values.clear()
-        for node in order:
-            values[id(node)] = abs_transfer(
-                node,
-                lambda n: values[id(n)],
-                reg_env=reg_env,
-                mem_env=mem_env,
-            )
+    def lookup(n: E.Expr) -> AbsValue:
+        return values[id(n)]
 
+    # the change-propagation index: walk positions of each node's
+    # parents, and of the leaves reading each register and memory
+    position = {id(node): index for index, node in enumerate(order)}
+    parents: list[list[int]] = [[] for _ in order]
+    reg_leaves: dict[str, list[int]] = {}
+    mem_leaves: dict[str, list[int]] = {}
+    for index, node in enumerate(order):
+        for child in node.children():
+            users = parents[position[id(child)]]
+            if not users or users[-1] != index:
+                users.append(index)
+        if isinstance(node, E.RegRead):
+            reg_leaves.setdefault(node.name, []).append(index)
+        elif isinstance(node, E.MemRead):
+            mem_leaves.setdefault(node.mem, []).append(index)
+
+    dirty: list[int] = list(range(len(order)))
     iterations = 0
     widened = False
     while True:
         iterations += 1
-        _evaluate()
+        # re-evaluate the dirty nodes in walk (children-first) order
+        heapq.heapify(dirty)
+        queued = set(dirty)
+        while dirty:
+            index = heapq.heappop(dirty)
+            node = order[index]
+            value = abs_transfer(
+                node, lookup, reg_env=reg_env, mem_env=mem_env
+            )
+            if values.get(id(node)) == value:
+                continue
+            values[id(node)] = value
+            for parent in parents[index]:
+                if parent not in queued:
+                    queued.add(parent)
+                    heapq.heappush(dirty, parent)
+
         changed: set[str] = set()
         changed_mems: set[str] = set()
         for name, reg in module.registers.items():
@@ -296,13 +360,18 @@ def analyze(
                     module.memories[name].data_width
                 )
             widened = True
+        for name in changed:
+            dirty.extend(reg_leaves.get(name, ()))
+        for name in changed_mems:
+            dirty.extend(mem_leaves.get(name, ()))
 
     return FixpointResult(
-        module=module,
+        module_ref=weakref.ref(module),
         registers=state,
         memories=mem_summary,
         values=values,
         iterations=iterations,
         widened=widened,
         rom_case_limit=rom_case_limit,
+        _pinned=order,
     )

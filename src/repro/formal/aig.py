@@ -507,32 +507,18 @@ class BitBlaster:
         """The literal vector of ``root``; read-only, see the class doc.
 
         Lowers the nodes under ``root`` that are not memoised yet, children
-        first, in the order :func:`repro.hdl.expr.walk` visits them.  The
-        walk stops at memoised nodes: a node blasted earlier has its whole
-        subtree memoised, and a :meth:`preset` node needs none of it.
+        first, in the order :func:`repro.hdl.expr.walk_new` visits them.
+        The walk stops at memoised nodes: a node blasted earlier has its
+        whole subtree memoised, and a :meth:`preset` node needs none of it.
         """
         memo = self._memo
         vec = memo.get(id(root))
         if vec is not None:
             return vec
         nodes = self._nodes
-        seen: set[int] = set()
-        stack: list[tuple[E.Expr, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                memo[id(node)] = self._blast_node(node)
-                nodes.append(node)
-                continue
-            key = id(node)
-            if key in seen or key in memo:
-                continue
-            seen.add(key)
-            stack.append((node, True))
-            for child in node.children():
-                key = id(child)
-                if key not in seen and key not in memo:
-                    stack.append((child, False))
+        for node in E.walk_new([root], memo):
+            memo[id(node)] = self._blast_node(node)
+            nodes.append(node)
         return memo[id(root)]
 
     def preset(self, node: E.Expr, vec: Vec) -> None:

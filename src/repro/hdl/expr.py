@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .bitvec import BitVector, from_signed, mask, to_signed
 
@@ -650,6 +650,32 @@ def walk(roots: Iterable[Expr]) -> list[Expr]:
         stack.append((node, True))
         for child in node.children():
             if id(child) not in seen:
+                stack.append((child, False))
+    return order
+
+
+def walk_new(roots: Iterable[Expr], memo: Container[int]) -> list[Expr]:
+    """Post-order over the nodes under ``roots`` whose id is not in
+    ``memo``, each exactly once.
+
+    The walk stops at memoised nodes: a memo filled children-first holds
+    a memoised node's whole subtree already, so a caller extending it
+    visits only the nodes new to it."""
+    seen: set[int] = set()
+    order: list[Expr] = []
+    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        key = id(node)
+        if key in seen or key in memo:
+            continue
+        seen.add(key)
+        stack.append((node, True))
+        for child in node.children():
+            if id(child) not in seen and id(child) not in memo:
                 stack.append((child, False))
     return order
 

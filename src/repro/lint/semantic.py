@@ -33,13 +33,7 @@ from ..hdl.bitvec import mask
 from ..hdl.netlist import Module
 from .diagnostics import LintConfig, LintResult, Severity
 from .registry import ModuleContext, register_rule
-from .structural import (
-    UNKNOWN,
-    _frozen_registers,
-    _owner_map,
-    named_roots,
-    ternary_eval,
-)
+from .structural import UNKNOWN, _owner_map, module_ternary, named_roots
 
 register_rule(
     "absint-frozen-register",
@@ -112,9 +106,7 @@ def lint_semantic(
     roots = named_roots(module)
     owner = _owner_map(roots)
     # what the one-shot pass already knows; only report beyond it
-    oneshot = ternary_eval(
-        [root for _path, root in roots], _frozen_registers(module)
-    )
+    oneshot = module_ternary(module)
 
     def already_constant(node: E.Expr) -> bool:
         known, _value = oneshot.get(id(node), UNKNOWN)

@@ -22,6 +22,8 @@ The pass family (run in registration order by :func:`..registry.lint_module`):
 
 from __future__ import annotations
 
+import weakref
+
 from ..absint.domain import UNKNOWN, Ternary, ternary_transfer
 from ..hdl import expr as E
 from ..hdl.analyze import node_cost, node_delay
@@ -168,11 +170,16 @@ def named_roots(module: Module) -> list[tuple[str, E.Expr]]:
 
 
 def _owner_map(roots: list[tuple[str, E.Expr]]) -> dict[int, str]:
-    """First-seen owner path for every reachable node (for attribution)."""
+    """First-seen owner path for every reachable node (for attribution).
+
+    The walk stops at owned nodes: everything below an owned node was
+    reached by the root that owns it or an earlier one, so each node is
+    visited once per module, not once per root reaching it.
+    """
     owner: dict[int, str] = {}
     for path, root in roots:
-        for node in E.walk([root]):
-            owner.setdefault(id(node), path)
+        for node in E.walk_new([root], owner):
+            owner[id(node)] = path
     return owner
 
 
@@ -315,6 +322,29 @@ def ternary_eval(
     return values
 
 
+# one one-shot ternary map per module, shared by the dataflow pass and
+# the semantic lint.  Weak on the module; each entry keeps the roots and
+# frozen facts it was computed from (pinning the root ids), and a module
+# edited in place since is re-evaluated instead of served a stale map.
+_ONESHOT_TERNARY: "weakref.WeakKeyDictionary[Module, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def module_ternary(module: Module) -> dict[int, Ternary]:
+    """Memoised :func:`ternary_eval` over the module's named roots, seeded
+    with :func:`_frozen_registers`; read-only for callers."""
+    roots = tuple(root for _path, root in named_roots(module))
+    frozen = _frozen_registers(module)
+    entry = _ONESHOT_TERNARY.get(module)
+    # nodes compare by identity, so equal tuples hold the same roots
+    if entry is not None and entry[:2] == (roots, frozen):
+        return entry[2]
+    ternary = ternary_eval(list(roots), frozen)
+    _ONESHOT_TERNARY[module] = (roots, frozen, ternary)
+    return ternary
+
+
 @module_pass
 def pass_dataflow(ctx: ModuleContext) -> None:
     if not getattr(ctx, "acyclic", True):
@@ -322,8 +352,7 @@ def pass_dataflow(ctx: ModuleContext) -> None:
     module = ctx.module
     roots = named_roots(module)
     owner = _owner_map(roots)
-    frozen = _frozen_registers(module)
-    ternary = ternary_eval([root for _path, root in roots], frozen)
+    ternary = module_ternary(module)
 
     # never-enabled / frozen registers ------------------------------------
     for name, reg in module.registers.items():

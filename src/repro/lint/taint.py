@@ -156,9 +156,8 @@ class TaintAnalysis:
 
     def taint(self, root: E.Expr) -> frozenset[str]:
         memo = self._memo
-        for node in E.walk([root]):
-            if id(node) not in memo:
-                memo[id(node)] = self._transfer(node)
+        for node in E.walk_new([root], memo):
+            memo[id(node)] = self._transfer(node)
         return memo[id(root)]
 
     def _const(self, node: E.Expr) -> bool:

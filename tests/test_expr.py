@@ -201,6 +201,21 @@ class TestHelpers:
         order = E.walk([expression])
         assert order.count(x) == 1
 
+    def test_walk_new_stops_at_memoised_nodes(self):
+        x = E.input_port("walknx", 8)
+        y = E.input_port("walkny", 8)
+        shared = E.add(x, E.const(8, 1))
+        left = E.bxor(shared, y)
+        right = E.band(shared, E.sub(x, y))
+        assert E.walk_new([left, right], {}) == E.walk([left, right])
+        memo = {id(node) for node in E.walk([left])}
+        fresh = E.walk_new([right], memo)
+        # only what ``left`` did not reach, children first, each once
+        assert fresh == [
+            node for node in E.walk([right]) if id(node) not in memo
+        ]
+        assert fresh[-1] is right and shared not in fresh and x not in fresh
+
     def test_leaf_queries(self):
         expression = E.add(
             E.reg_read("r1", 8), E.mem_read("m", E.reg_read("a", 2), 8)

@@ -11,6 +11,7 @@ fixes to kill.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -350,6 +351,22 @@ def test_lockstep_campaign_full_equivalence():
     assert len(lockstep.results) == 118
     assert lockstep.killed == 118
     assert lockstep.survivors == [], lockstep.format_text()
+
+
+# the (mid, detector, detail) list of every mutant, as the campaign
+# reported it before static detection was made change-driven
+PINNED_VERDICTS = pathlib.Path(__file__).parent / "data" / "campaign_verdicts.json"
+
+
+@pytest.mark.parametrize(
+    "core",
+    ["toy", pytest.param("dlx-small", marks=pytest.mark.slow)],
+)
+def test_campaign_verdicts_pinned(core):
+    """Every kill, its detector and its detail string, verbatim."""
+    expected = json.loads(PINNED_VERDICTS.read_text())[core]
+    report = run_campaign(cores=[core], params=DetectParams(lanes=64))
+    assert [list(v) for v in _campaign_verdicts(report)] == expected
 
 
 def test_detect_params_tighten_budget(toy_baseline, toy_spec):

@@ -403,3 +403,69 @@ class TestGeneratedPipelines:
 
     def test_toy_full_lint_no_errors(self, toy_pipelined):
         assert not lint_pipeline(toy_pipelined).has_errors
+
+
+class TestWalkMemos:
+    """The memoised walks behind the passes agree with their references."""
+
+    @pytest.mark.parametrize("core", ["toy", "dlx-small", "dlx-spec"])
+    def test_owner_map_matches_per_root_walks(self, core):
+        from repro.core.transform import transform
+        from repro.faults import CORES
+        from repro.lint.structural import _owner_map, named_roots
+
+        module = transform(CORES[core].build_machine()).module
+        roots = named_roots(module)
+        reference: dict[int, str] = {}
+        for path, root in roots:
+            for node in E.walk([root]):
+                reference.setdefault(id(node), path)
+        assert _owner_map(roots) == reference
+
+    def test_owner_map_on_a_cyclic_graph(self):
+        from repro.lint.structural import _owner_map, named_roots
+
+        roots = named_roots(_cyclic_module())
+        owner = _owner_map(roots)
+        reference: dict[int, str] = {}
+        for path, root in roots:
+            for node in E.walk([root]):
+                reference.setdefault(id(node), path)
+        assert owner == reference
+
+    def test_module_ternary_is_the_one_shot_map(self, toy_pipelined):
+        from repro.lint.structural import (
+            _frozen_registers,
+            module_ternary,
+            named_roots,
+            ternary_eval,
+        )
+
+        module = toy_pipelined.module
+        fresh = ternary_eval(
+            [root for _path, root in named_roots(module)],
+            _frozen_registers(module),
+        )
+        assert module_ternary(module) == fresh
+        assert module_ternary(module) is module_ternary(module)
+
+    def test_module_ternary_follows_in_place_edits(self):
+        from repro.lint.structural import (
+            _frozen_registers,
+            module_ternary,
+            named_roots,
+            ternary_eval,
+        )
+
+        module = Module("edited")
+        count = module.add_register("c", 4, init=3)
+        module.add_probe("p", E.add(count, E.const(4, 1)))
+        frozen_map = module_ternary(module)  # c holds itself: frozen at 3
+        assert frozen_map[id(module.probes["p"])] == (0xF, 4)
+        module.drive_register("c", E.add(count, E.const(4, 1)))
+        edited = module_ternary(module)
+        assert edited == ternary_eval(
+            [root for _path, root in named_roots(module)],
+            _frozen_registers(module),
+        )
+        assert edited[id(module.probes["p"])][0] != 0xF
